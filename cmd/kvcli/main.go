@@ -13,7 +13,7 @@
 // cachestats queries a running kvserver's STATS op and prints one table
 // covering every DRAM tier in front of flash: index-page cache hit
 // ratio and TinyLFU admission rejects, hot-value cache hit ratio, and
-// scan-prefetch effectiveness.
+// scan prefetch hits.
 //
 // walinfo inspects a write-ahead-log directory offline — segment list,
 // per-segment sequence ranges, checkpoint horizon, and the recovery

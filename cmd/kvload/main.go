@@ -105,7 +105,7 @@ func main() {
 	// Role split: when -readers/-writers are set, each worker is pinned to
 	// one op type instead of sampling the -mix. This is how the sharded
 	// read-pool server is meant to be exercised: readers saturate the
-	// shared lock path while writers churn the exclusive one.
+	// lock-free read path while writers churn the exclusive lock.
 	roleSplit := *readers > 0 || *writers > 0
 	if roleSplit {
 		*concurrency = *readers + *writers
@@ -139,7 +139,6 @@ func main() {
 	tallies := make([]tally, *concurrency)
 	var opsBudget atomic.Int64
 	opsBudget.Store(*nops)
-	deadline := time.Now().Add(*duration)
 
 	value := make([]byte, *valueSize)
 	for i := range value {
@@ -165,7 +164,10 @@ func main() {
 	}
 
 	var wg sync.WaitGroup
+	// The timed phase starts after any preload, so a preload longer than
+	// -duration still leaves a full timed phase.
 	start := time.Now()
+	deadline := start.Add(*duration)
 	newPacer := func() *pacer {
 		return &pacer{
 			perWorker: *rate / float64(*concurrency),

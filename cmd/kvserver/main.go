@@ -58,16 +58,14 @@ func main() {
 		ckptEvery = flag.Duration("checkpoint", 0, "periodic checkpoint interval; advances the WAL compaction horizon (0 = only at shutdown)")
 		valCache  = flag.Int64("value-cache", 0, "hot-value DRAM cache budget in bytes; 0 disables the value tier")
 		admission = flag.Bool("cache-admission", false, "TinyLFU admission on the index-page cache")
-		prefetch  = flag.Bool("scan-prefetch", false, "stage each distinct data page once per prefix scan")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("kvserver: ")
 
 	if *pprofAddr != "" {
-		// Mutex profiling is what the read-path lock split is tuned with:
-		// /debug/pprof/mutex shows contention on the per-shard RWMutexes.
-		// Sampling 1-in-5 keeps the hot shared path cheap.
+		// /debug/pprof/mutex shows contention on the per-shard write
+		// locks. Sampling 1-in-5 keeps the profiling overhead low.
 		runtime.SetMutexProfileFraction(5)
 		pln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
@@ -89,7 +87,6 @@ func main() {
 		IteratorPrefixLen: *prefixLen,
 		ValueCacheBudget:  *valCache,
 		CacheAdmission:    *admission,
-		ScanPrefetch:      *prefetch,
 		WAL: rhik.WALOptions{
 			Dir:         *walDir,
 			Fsync:       *walFsync,
@@ -118,16 +115,17 @@ func main() {
 		Logf:           log.Printf,
 	})
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	log.Printf("listening on %s (shards=%d index=%s capacity=%d MiB)",
-		ln.Addr(), set.N(), *indexName, *capacity>>20)
 	if *walDir != "" {
 		ws := set.WALStats()
 		log.Printf("wal on %s (fsync=%s, %d records replayed)", *walDir, *walFsync, ws.Replayed)
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatalf("listen: %v", err)
+	}
+	// Logged last: scripts wait for this line as the ready signal.
+	log.Printf("listening on %s (shards=%d index=%s capacity=%d MiB)",
+		ln.Addr(), set.N(), *indexName, *capacity>>20)
 
 	// Periodic checkpoints bound WAL growth on a long-running server:
 	// each one makes accepted writes durable, advances every shard log's

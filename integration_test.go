@@ -169,6 +169,9 @@ func TestIntegrationLargeValuesAndIterator(t *testing.T) {
 	if len(entries) != 51 {
 		t.Fatalf("iterate found %d, want 51", len(entries))
 	}
+	if e := entries[50]; string(e.Key) != "blob:huge" || !bytes.Equal(e.Value, big) {
+		t.Fatalf("iterate extent readback: %q, %d bytes", e.Key, len(e.Value))
+	}
 	// Restart and iterate again: recovery must rebuild iterator state.
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -182,5 +185,8 @@ func TestIntegrationLargeValuesAndIterator(t *testing.T) {
 	}
 	if len(entries) != 51 {
 		t.Fatalf("post-recovery iterate found %d, want 51", len(entries))
+	}
+	if e := entries[50]; string(e.Key) != "blob:huge" || !bytes.Equal(e.Value, big) {
+		t.Fatalf("post-recovery iterate extent readback: %q, %d bytes", e.Key, len(e.Value))
 	}
 }

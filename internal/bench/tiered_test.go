@@ -4,7 +4,7 @@ import "testing"
 
 // tieredShootoutConfig is the golden cell's DRAM budget re-split across
 // the cache tiers: 8 KiB index pages + 8 KiB hot values instead of
-// 16 KiB index-only, with admission and scan prefetch on. Total DRAM is
+// 16 KiB index-only, with admission on. Total DRAM is
 // identical to goldenShootoutConfig, so any flash-read delta is the
 // tiering's doing, not extra memory.
 func tieredShootoutConfig() ShootoutConfig {
@@ -12,7 +12,6 @@ func tieredShootoutConfig() ShootoutConfig {
 	cfg.CacheBudget = 8 << 10
 	cfg.ValueCacheBudget = 8 << 10
 	cfg.CacheAdmission = true
-	cfg.ScanPrefetch = true
 	return cfg
 }
 
@@ -56,30 +55,25 @@ func TestTieredFlashReadReduction(t *testing.T) {
 	}
 }
 
-// TestTieredScanPrefetch pins the YCSB-E side of the tentpole: with
-// ScanPrefetch on, prefix scans serve sibling records from staged pages
-// (prefetch hits accrue) and return exactly the same result set — same
-// scan count, same scanned-entry total — as the per-record baseline.
+// TestTieredScanPrefetch pins the YCSB-E side of the tiered cell:
+// prefix scans serve sibling records from staged pages (prefetch hits
+// accrue) and return exactly the result set the per-record scan loop
+// returned before staging became unconditional — same scan count, same
+// scanned-entry total.
 func TestTieredScanPrefetch(t *testing.T) {
-	base := goldenShootoutConfig()
-	base.Workloads = []string{"ycsb-e"}
-	tiered := tieredShootoutConfig()
-	tiered.Workloads = base.Workloads
-
-	bres, err := RunShootout(base, nil)
+	const wantScanOps, wantScannedEntries = 4751, 1215118
+	cfg := tieredShootoutConfig()
+	cfg.Workloads = []string{"ycsb-e"}
+	res, err := RunShootout(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tres, err := RunShootout(tiered, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, tc := bres.Cells[0], tres.Cells[0]
-	if tc.PrefetchHits == 0 {
+	c := res.Cells[0]
+	if c.PrefetchHits == 0 {
 		t.Fatal("scan prefetch scored no hits on the scan-heavy workload")
 	}
-	if tc.ScanOps != bc.ScanOps || tc.ScannedEntries != bc.ScannedEntries {
-		t.Fatalf("prefetch changed scan results: ops %d vs %d, entries %d vs %d",
-			tc.ScanOps, bc.ScanOps, tc.ScannedEntries, bc.ScannedEntries)
+	if c.ScanOps != wantScanOps || c.ScannedEntries != wantScannedEntries {
+		t.Fatalf("scan results changed: ops %d (want %d), entries %d (want %d)",
+			c.ScanOps, wantScanOps, c.ScannedEntries, wantScannedEntries)
 	}
 }

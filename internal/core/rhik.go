@@ -234,7 +234,6 @@ type RHIK struct {
 func (r *RHIK) g() *generation { return r.gen.Load() }
 
 var _ index.Index = (*RHIK)(nil)
-var _ index.SharedReader = (*RHIK)(nil)
 var _ index.Resizer = (*RHIK)(nil)
 var _ index.Relocator = (*RHIK)(nil)
 var _ index.Checkpointer = (*RHIK)(nil)
@@ -462,8 +461,7 @@ func (r *RHIK) loadTable(bucket uint64) (*tableEntry, error) {
 // (errors surface through the deferred-write-back channel, like cache
 // eviction failures), then entry and table return to their pools —
 // immediately, because a transient entry was never reachable by
-// optimistic readers. The empty fast path is read-only so concurrent
-// shared-lock readers can run it racelessly.
+// optimistic readers. The empty fast path is read-only.
 func (r *RHIK) releaseTransients() {
 	if len(r.transients) == 0 {
 		return
@@ -561,18 +559,6 @@ func (r *RHIK) Delete(sig index.Sig) (uint64, bool, error) {
 func (r *RHIK) Exist(sig index.Sig) (bool, error) {
 	_, ok, err := r.Lookup(sig)
 	return ok, err
-}
-
-// SharedLookupReady implements index.SharedReader: a lookup for sig can
-// run under the shard read lock when no migration is in flight, no
-// deferred write-back error is pending, and the bucket's record table is
-// DRAM-resident. The check is pure — it charges no simulated time and
-// touches no counters — so a false answer costs nothing before the shard
-// falls back to the exclusive path. Once true, Lookup's only mutations
-// are atomics: the cache hit counter and the entry's CLOCK reference bit
-// (eviction cannot intervene, because only exclusive writers evict).
-func (r *RHIK) SharedLookupReady(sig index.Sig) bool {
-	return r.mig == nil && r.ioErr == nil && r.cache.Contains(r.bucketOf(sig))
 }
 
 // OptProbe is the result of a lock-free index probe. The RP/Found pair

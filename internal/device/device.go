@@ -137,9 +137,6 @@ type Config struct {
 	// CacheAdmission enables TinyLFU admission on the index-page cache
 	// (RHIK only; see core.Config.Admission).
 	CacheAdmission bool
-	// ScanPrefetch groups a prefix scan's record reads by flash page,
-	// reading each distinct data page once instead of once per record.
-	ScanPrefetch bool
 }
 
 func (c *Config) applyDefaults() {
@@ -219,8 +216,8 @@ type Stats struct {
 	PrefetchHits     int64
 }
 
-// devStats is the live counter set. Retrieve/Exist bump their counters
-// under the shard read lock, concurrently with each other, so every
+// devStats is the live counter set. Lock-free Retrieve/Exist bump their
+// counters concurrently with each other and with writers, so every
 // field is atomic; Stats() snapshots them into the exported plain struct.
 type devStats struct {
 	stores    atomic.Int64
@@ -265,20 +262,17 @@ func (s *devStats) snapshot() Stats {
 // Device is the emulated KVSSD. Mutating commands (Store, Delete,
 // Checkpoint, Restart, Close, Iterate) must be externally serialized —
 // the sharded front-end (internal/shard) runs them under a per-shard
-// write lock. Reads have three tiers:
+// write lock. Reads have two tiers:
 //
-//   - TryRetrieveOptimistic/TryExistOptimistic run with NO lock at all
-//     (RHIK only): the probe validates against per-table seqlocks and
-//     the atomically-swapped directory generation, an epoch pin keeps
+//   - TryRetrieveOptimistic/TryExistOptimistic run with NO lock at all:
+//     the probe validates against per-table seqlocks and the
+//     atomically-swapped directory generation, an epoch pin keeps
 //     retired tables and erased flash buffers from being reused
 //     underneath the read, and index.ErrOptimisticRetry /
 //     index.ErrNeedExclusive are returned — before any simulated-time
 //     charge — when a concurrent mutation interferes or the state is
-//     not DRAM-resident.
-//   - TryRetrieveShared/TryExistShared run under the caller's SHARED
-//     lock (the legacy tier, still used by indexes without an
-//     optimistic surface), refusing with ErrNeedExclusive whenever the
-//     operation would have to mutate index structure.
+//     not DRAM-resident. Indexes without an optimistic surface (the
+//     mlhash and LSM baselines) always get ErrNeedExclusive.
 //   - Retrieve/RetrieveAppend/Exist re-execute under the caller's
 //     exclusive lock.
 //
@@ -622,11 +616,6 @@ func (d *Device) AdvanceEpoch() { d.wepoch.Add(1) }
 // WriteEpoch reports the current write epoch: the visibility bound a
 // snapshot opened now would pin.
 func (d *Device) WriteEpoch() uint64 { return d.wepoch.Load() }
-
-// SupportsOptimisticReads reports whether the configured index exposes
-// the lock-free read tier (RHIK does; the baselines fall back to the
-// shared-lock tier).
-func (d *Device) SupportsOptimisticReads() bool { return d.optIdx.Load() != nil }
 
 // ReclaimStats snapshots the epoch-reclamation counters.
 func (d *Device) ReclaimStats() epoch.Stats { return d.reclaim.Stats() }

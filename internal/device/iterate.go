@@ -46,27 +46,9 @@ func (d *Device) Iterate(submitAt sim.Time, prefix []byte, withValues bool) ([]I
 		return nil, d.env.now.Load(), err
 	}
 
-	var out []IterEntry
-	if d.cfg.ScanPrefetch {
-		out, err = d.iterateStaged(rps, prefix, withValues)
-		if err != nil {
-			return nil, d.env.now.Load(), err
-		}
-	} else {
-		for _, rp := range rps {
-			hdr, key, value, done, err := d.readPair(layout.RP(rp), withValues, true)
-			if err != nil {
-				return nil, done, err
-			}
-			if hdr.Tombstone() || !bytes.HasPrefix(key, prefix) {
-				continue
-			}
-			e := IterEntry{Key: append([]byte(nil), key...)}
-			if withValues {
-				e.Value = append([]byte(nil), value...)
-			}
-			out = append(out, e)
-		}
+	out, err := d.iterateStaged(rps, prefix, withValues)
+	if err != nil {
+		return nil, d.env.now.Load(), err
 	}
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Key, out[j].Key) < 0 })
 	d.stats.iterates.Add(1)
@@ -94,44 +76,25 @@ func (d *Device) iterateStaged(rps []uint64, prefix []byte, withValues bool) ([]
 		} else {
 			ppa := nand.PPA(rp.Page())
 			data, ok := staged[ppa]
-			if !ok {
-				var err error
-				var done sim.Time
+			var done sim.Time
+			var err error
+			if ok {
+				d.stats.prefetchHits.Add(1)
+			} else {
 				data, _, done, err = d.flash.Read(d.env.now.Load(), ppa)
 				if err != nil {
 					return nil, err
 				}
 				d.env.now.AdvanceTo(done)
 				staged[ppa] = data
-			} else {
-				d.stats.prefetchHits.Add(1)
 			}
-			info, _, err := layout.SigInfoAt(data, rp.Slot())
+			// Extent continuations are read but not staged: extents
+			// never share pages.
+			_, hdr, key, value, done, err = d.decodePair(d.env.now.Load(), data, rp, withValues)
 			if err != nil {
 				return nil, err
 			}
-			hdr, key, value, err = layout.DecodePairAt(data, int(info.Offset))
-			if err != nil {
-				return nil, err
-			}
-			if withValues && hdr.ValueLen > len(value) {
-				// Extent: continuations follow the head page in the same
-				// block (not staged — extents never share pages).
-				full := make([]byte, 0, hdr.ValueLen)
-				full = append(full, value...)
-				for i := 1; len(full) < hdr.ValueLen; i++ {
-					cont, _, cd, err := d.flash.Read(d.env.now.Load(), ppa+nand.PPA(i))
-					if err != nil {
-						return nil, err
-					}
-					d.env.now.AdvanceTo(cd)
-					full = append(full, cont...)
-				}
-				if len(full) > hdr.ValueLen {
-					full = full[:hdr.ValueLen]
-				}
-				value = full
-			}
+			d.env.now.AdvanceTo(done)
 		}
 		if hdr.Tombstone() || !bytes.HasPrefix(key, prefix) {
 			continue

@@ -34,53 +34,11 @@ import (
 // Refusals (ErrNeedExclusive) and retries (ErrOptimisticRetry) detected
 // before the probe validates are zero-charge: no simulated time, no
 // counters. Once the probe validates, the charge sequence mirrors the
-// exclusive retrieve()/exist() bodies exactly, so a single-threaded run
+// exclusive RetrieveAppend/Exist bodies exactly, so a single-threaded run
 // produces a byte-identical timeline whichever path serves the command.
 // Charges made before a LATER validation fails stand — the speculative
 // work really occupied the firmware — so only genuinely-raced
 // operations pay for a retry.
-
-// readPairOptimistic is readPair's flash branch only. The pending map
-// (a plain Go map mutated by writers) must never be read without a
-// lock; the callers pre-check PageReadable, so a record pointer still
-// in a volatile open-page buffer never reaches this function.
-func (d *Device) readPairOptimistic(rp layout.RP, withValue, blocking bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
-	ppa := nand.PPA(rp.Page())
-	data, _, readDone, err := d.flash.Read(d.env.now.Load(), ppa)
-	if err != nil {
-		return hdr, nil, nil, d.env.now.Load(), err
-	}
-	done = readDone
-	info, _, err := layout.SigInfoAt(data, rp.Slot())
-	if err != nil {
-		return hdr, nil, nil, done, err
-	}
-	hdr, key, value, err = layout.DecodePairAt(data, int(info.Offset))
-	if err != nil {
-		return hdr, nil, nil, done, err
-	}
-	if withValue && hdr.ValueLen > len(value) {
-		// Extent: continuations follow the head page in the same block.
-		full := make([]byte, 0, hdr.ValueLen)
-		full = append(full, value...)
-		for i := 1; len(full) < hdr.ValueLen; i++ {
-			cont, _, cd, err := d.flash.Read(done, ppa+nand.PPA(i))
-			if err != nil {
-				return hdr, nil, nil, done, err
-			}
-			done = cd
-			full = append(full, cont...)
-		}
-		if len(full) > hdr.ValueLen {
-			full = full[:hdr.ValueLen]
-		}
-		value = full
-	}
-	if blocking {
-		d.env.now.AdvanceTo(done)
-	}
-	return hdr, key, value, done, nil
-}
 
 // TryRetrieveOptimistic executes a get with no caller lock. It returns
 // index.ErrNeedExclusive when no lock-free read can succeed (bucket not
@@ -140,7 +98,7 @@ func (d *Device) tryRetrieveOptimistic(r *core.RHIK, submitAt sim.Time, key, dst
 		return dst, 0, index.ErrNeedExclusive
 	}
 
-	// The probe validated: charge exactly what the exclusive retrieve()
+	// The probe validated: charge exactly what the exclusive RetrieveAppend
 	// charges from here on.
 	arrive := d.hostXfer(submitAt, len(key))
 	d.env.now.AdvanceTo(arrive)
@@ -157,7 +115,9 @@ func (d *Device) tryRetrieveOptimistic(r *core.RHIK, submitAt sim.Time, key, dst
 		r.CommitOptimistic(probe)
 		return dst, d.env.now.Load(), ErrNotFound
 	}
-	hdr, storedKey, value, done, err := d.readPairOptimistic(layout.RP(probe.RP), true, false)
+	// readFlashPair never consults the pending map, which only the lock
+	// holder may read; the head page was pre-checked readable above.
+	hdr, storedKey, value, _, done, err := d.readFlashPair(d.env.now.Load(), layout.RP(probe.RP), true)
 	if err != nil {
 		// Never surface a raw flash error from the lock-free tier. If the
 		// structure moved underneath us this is a raced read — retry. If
@@ -240,7 +200,7 @@ func (d *Device) tryExistOptimistic(r *core.RHIK, submitAt sim.Time, key []byte)
 		return false, 0, index.ErrNeedExclusive
 	}
 
-	// Mirror the exclusive exist() charges: command CPU, the lookup
+	// Mirror the exclusive Exist charges: command CPU, the lookup
 	// charge, and a zero metadata-read sample (exist does not feed the
 	// per-get histogram).
 	arrive := d.hostXfer(submitAt, len(key))
@@ -257,7 +217,7 @@ func (d *Device) tryExistOptimistic(r *core.RHIK, submitAt sim.Time, key []byte)
 		d.stats.exists.Add(1)
 		return false, d.env.now.Load(), nil
 	}
-	hdr, storedKey, _, _, err := d.readPairOptimistic(layout.RP(probe.RP), false, true)
+	hdr, storedKey, _, _, done, err := d.readFlashPair(d.env.now.Load(), layout.RP(probe.RP), false)
 	if err != nil {
 		// Same contract as the retrieve body: raced → retry, otherwise
 		// escalate so the exclusive path resolves pending continuation
@@ -268,6 +228,7 @@ func (d *Device) tryExistOptimistic(r *core.RHIK, submitAt sim.Time, key []byte)
 		}
 		return false, 0, index.ErrNeedExclusive
 	}
+	d.env.now.AdvanceTo(done)
 	if !r.RevalidateOptimistic(probe) || d.mutSeq.Load() != m1 {
 		return false, 0, index.ErrOptimisticRetry
 	}

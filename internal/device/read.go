@@ -3,61 +3,78 @@ package device
 import (
 	"bytes"
 
-	"repro/internal/index"
 	"repro/internal/layout"
 	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
 // readPair fetches the pair addressed by rp: from an open page buffer if
-// still pending, else from flash (head page plus continuations for
-// extents). When blocking is true the firmware waits for the data (key
-// verification gates the command); otherwise only the completion time
-// reflects the read and the firmware moves on (data-out phase of a
-// retrieve). Safe for concurrent readers: flash page reads are pure, the
-// single-slot signature decode allocates nothing, and the timeline only
-// moves through CAS-max advances. (The extent reassembly path allocates,
-// but only multi-page values take it.)
+// still pending, else from flash through readFlashPair. When blocking is
+// true the firmware waits for the data (key verification gates the
+// command); otherwise only the completion time reflects the read and the
+// firmware moves on (data-out phase of a retrieve). Callers hold the
+// exclusive lock: the pending map is a plain Go map mutated by writers.
 func (d *Device) readPair(rp layout.RP, withValue, blocking bool) (hdr layout.PairHeader, key, value []byte, done sim.Time, err error) {
 	if p, ok := d.pending[rp]; ok {
 		hdr = layout.PairHeader{KeyLen: len(p.key), ValueLen: len(p.value)}
 		return hdr, p.key, p.value, d.env.now.Load(), nil
 	}
-	ppa := nand.PPA(rp.Page())
-	data, _, readDone, err := d.flash.Read(d.env.now.Load(), ppa)
-	if err != nil {
-		return hdr, nil, nil, d.env.now.Load(), err
-	}
-	done = readDone
-	info, _, err := layout.SigInfoAt(data, rp.Slot())
+	hdr, key, value, _, done, err = d.readFlashPair(d.env.now.Load(), rp, withValue)
 	if err != nil {
 		return hdr, nil, nil, done, err
-	}
-	hdr, key, value, err = layout.DecodePairAt(data, int(info.Offset))
-	if err != nil {
-		return hdr, nil, nil, done, err
-	}
-	if withValue && hdr.ValueLen > len(value) {
-		// Extent: continuations follow the head page in the same block.
-		full := make([]byte, 0, hdr.ValueLen)
-		full = append(full, value...)
-		for i := 1; len(full) < hdr.ValueLen; i++ {
-			cont, _, cd, err := d.flash.Read(done, ppa+nand.PPA(i))
-			if err != nil {
-				return hdr, nil, nil, done, err
-			}
-			done = cd
-			full = append(full, cont...)
-		}
-		if len(full) > hdr.ValueLen {
-			full = full[:hdr.ValueLen]
-		}
-		value = full
 	}
 	if blocking {
 		d.env.now.AdvanceTo(done)
 	}
 	return hdr, key, value, done, nil
+}
+
+// readFlashPair reads rp's head page from flash at time at and decodes
+// the pair, plus the record's write epoch (the page spare's base plus the
+// sig entry's delta). It never consults the pending map, so lock-free
+// callers may use it once they have checked the page is programmed.
+// Safe for concurrent readers: flash page reads are pure, the
+// single-slot signature decode allocates nothing, and the timeline only
+// moves through CAS-max advances. (Extent reassembly allocates, but only
+// multi-page values take it.)
+func (d *Device) readFlashPair(at sim.Time, rp layout.RP, withValue bool) (hdr layout.PairHeader, key, value []byte, recEpoch uint64, done sim.Time, err error) {
+	data, spare, done, err := d.flash.Read(at, nand.PPA(rp.Page()))
+	if err != nil {
+		return hdr, nil, nil, 0, at, err
+	}
+	info, hdr, key, value, done, err := d.decodePair(done, data, rp, withValue)
+	if err != nil {
+		return hdr, nil, nil, 0, done, err
+	}
+	return hdr, key, value, layout.DataSpareEpoch(spare) + uint64(info.EpochDelta), done, nil
+}
+
+// decodePair decodes the pair in rp's slot of its head page data, whose
+// read completed at done. For a multi-page value, when withValue is set,
+// the continuation pages that follow the head page in the same block are
+// read one after another from done and appended; the returned time is
+// the last read's completion.
+func (d *Device) decodePair(done sim.Time, data []byte, rp layout.RP, withValue bool) (info layout.SigInfo, hdr layout.PairHeader, key, value []byte, _ sim.Time, err error) {
+	info, _, err = layout.SigInfoAt(data, rp.Slot())
+	if err != nil {
+		return info, hdr, nil, nil, done, err
+	}
+	hdr, key, value, err = layout.DecodePairAt(data, int(info.Offset))
+	if err != nil || !withValue || hdr.ValueLen <= len(value) {
+		return info, hdr, key, value, done, err
+	}
+	full := make([]byte, 0, hdr.ValueLen)
+	full = append(full, value...)
+	ppa := nand.PPA(rp.Page())
+	for i := 1; len(full) < hdr.ValueLen; i++ {
+		cont, _, cd, err := d.flash.Read(done, ppa+nand.PPA(i))
+		if err != nil {
+			return info, hdr, nil, nil, done, err
+		}
+		done = cd
+		full = append(full, cont...)
+	}
+	return info, hdr, key, full[:hdr.ValueLen], done, nil
 }
 
 // retrieveValueHit completes a get served from the hot-value tier: no
@@ -78,9 +95,23 @@ func (d *Device) retrieveValueHit(submitAt sim.Time, key, value, dst []byte) ([]
 	return append(dst, value...), done
 }
 
-// retrieve is the get command body shared by the exclusive and shared
-// entry points. The value is appended to dst (which may be nil).
-func (d *Device) retrieve(submitAt sim.Time, key, dst []byte, sig index.Sig) ([]byte, sim.Time, error) {
+// Retrieve executes a get command, returning the value (a copy) and the
+// command's completion time. The stored key is compared to the request
+// key before returning, so signature collisions can never return the
+// wrong value (§IV-A3).
+func (d *Device) Retrieve(submitAt sim.Time, key []byte) ([]byte, sim.Time, error) {
+	return d.RetrieveAppend(submitAt, key, nil)
+}
+
+// RetrieveAppend is Retrieve with the value appended to dst, letting the
+// caller reuse one buffer across gets (the allocation-free hot path).
+// Requires the caller's exclusive lock, like Retrieve.
+func (d *Device) RetrieveAppend(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
+	if d.closed.Load() {
+		return dst, d.env.now.Load(), ErrClosed
+	}
+	d.collectRetired()
+	sig := d.scheme.Compute(key)
 	var vgen uint64
 	if d.vcache != nil {
 		if v, ok := d.vcache.Lookup(sig.Lo, key); ok {
@@ -128,54 +159,16 @@ func (d *Device) retrieve(submitAt sim.Time, key, dst []byte, sig index.Sig) ([]
 	return append(dst, value...), done, nil
 }
 
-// Retrieve executes a get command, returning the value (a copy) and the
-// command's completion time. The stored key is compared to the request
-// key before returning, so signature collisions can never return the
-// wrong value (§IV-A3).
-func (d *Device) Retrieve(submitAt sim.Time, key []byte) ([]byte, sim.Time, error) {
+// Exist executes a key-exist command. The index answers from key
+// signatures; on a hit the stored key is fetched and compared, so the
+// result is exact (the extra flash read the paper describes for explicit
+// membership checks as signature collisions become likely).
+func (d *Device) Exist(submitAt sim.Time, key []byte) (bool, sim.Time, error) {
 	if d.closed.Load() {
-		return nil, d.env.now.Load(), ErrClosed
+		return false, d.env.now.Load(), ErrClosed
 	}
 	d.collectRetired()
-	v, done, err := d.retrieve(submitAt, key, nil, d.scheme.Compute(key))
-	if err != nil {
-		return nil, done, err
-	}
-	return v, done, nil
-}
-
-// RetrieveAppend is Retrieve with the value appended to dst, letting the
-// caller reuse one buffer across gets (the allocation-free hot path).
-// Requires the caller's exclusive lock, like Retrieve.
-func (d *Device) RetrieveAppend(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
-	if d.closed.Load() {
-		return dst, d.env.now.Load(), ErrClosed
-	}
-	d.collectRetired()
-	return d.retrieve(submitAt, key, dst, d.scheme.Compute(key))
-}
-
-// TryRetrieveShared executes a get under the caller's SHARED lock. It
-// returns index.ErrNeedExclusive — before charging any simulated time or
-// touching any counter — when the lookup would have to mutate index
-// structure (cache miss, in-flight migration, pending write-back error);
-// the caller re-executes under the exclusive lock. On success the value
-// is appended to dst.
-func (d *Device) TryRetrieveShared(submitAt sim.Time, key, dst []byte) ([]byte, sim.Time, error) {
-	if d.closed.Load() {
-		return dst, d.env.now.Load(), ErrClosed
-	}
 	sig := d.scheme.Compute(key)
-	sr, ok := d.idx.(index.SharedReader)
-	if !ok || !sr.SharedLookupReady(sig) {
-		return dst, 0, index.ErrNeedExclusive
-	}
-	return d.retrieve(submitAt, key, dst, sig)
-}
-
-// exist is the key-exist command body shared by the exclusive and shared
-// entry points.
-func (d *Device) exist(submitAt sim.Time, key []byte, sig index.Sig) (bool, sim.Time, error) {
 	arrive := d.hostXfer(submitAt, len(key))
 	d.env.now.AdvanceTo(arrive)
 	d.env.ChargeCPU(d.cfg.CmdCPU)
@@ -195,31 +188,4 @@ func (d *Device) exist(submitAt sim.Time, key []byte, sig index.Sig) (bool, sim.
 		return false, done, err
 	}
 	return !hdr.Tombstone() && bytes.Equal(storedKey, key), d.env.now.Load(), nil
-}
-
-// Exist executes a key-exist command. The index answers from key
-// signatures; on a hit the stored key is fetched and compared, so the
-// result is exact (the extra flash read the paper describes for explicit
-// membership checks as signature collisions become likely).
-func (d *Device) Exist(submitAt sim.Time, key []byte) (bool, sim.Time, error) {
-	if d.closed.Load() {
-		return false, d.env.now.Load(), ErrClosed
-	}
-	d.collectRetired()
-	return d.exist(submitAt, key, d.scheme.Compute(key))
-}
-
-// TryExistShared executes a key-exist command under the caller's SHARED
-// lock, returning index.ErrNeedExclusive (before any simulated-time
-// charge) when the lookup is not DRAM-resident.
-func (d *Device) TryExistShared(submitAt sim.Time, key []byte) (bool, sim.Time, error) {
-	if d.closed.Load() {
-		return false, d.env.now.Load(), ErrClosed
-	}
-	sig := d.scheme.Compute(key)
-	sr, ok := d.idx.(index.SharedReader)
-	if !ok || !sr.SharedLookupReady(sig) {
-		return false, 0, index.ErrNeedExclusive
-	}
-	return d.exist(submitAt, key, sig)
 }

@@ -160,44 +160,6 @@ func (s *Snapshot) Valid() bool { return !s.released.Load() && !s.invalid.Load()
 // escapes this file.
 var errSnapFallback = errors.New("device: snapshot fast path fell back")
 
-// readPairEpoch is readPairOptimistic plus the record's write epoch,
-// recovered from the page spare's base and the sig entry's delta. Used
-// by both snapshot read paths; the caller guarantees the page is
-// programmed (frozen view) or pre-checked readable (fast path).
-func (d *Device) readPairEpoch(at sim.Time, rp layout.RP, withValue bool) (hdr layout.PairHeader, key, value []byte, recEpoch uint64, done sim.Time, err error) {
-	ppa := nand.PPA(rp.Page())
-	data, spare, done, err := d.flash.Read(at, ppa)
-	if err != nil {
-		return hdr, nil, nil, 0, at, err
-	}
-	info, _, err := layout.SigInfoAt(data, rp.Slot())
-	if err != nil {
-		return hdr, nil, nil, 0, done, err
-	}
-	recEpoch = layout.DataSpareEpoch(spare) + uint64(info.EpochDelta)
-	hdr, key, value, err = layout.DecodePairAt(data, int(info.Offset))
-	if err != nil {
-		return hdr, nil, nil, 0, done, err
-	}
-	if withValue && hdr.ValueLen > len(value) {
-		full := make([]byte, 0, hdr.ValueLen)
-		full = append(full, value...)
-		for i := 1; len(full) < hdr.ValueLen; i++ {
-			cont, _, cd, err := d.flash.Read(done, ppa+nand.PPA(i))
-			if err != nil {
-				return hdr, nil, nil, 0, done, err
-			}
-			done = cd
-			full = append(full, cont...)
-		}
-		if len(full) > hdr.ValueLen {
-			full = full[:hdr.ValueLen]
-		}
-		value = full
-	}
-	return hdr, key, value, recEpoch, done, nil
-}
-
 // Get reads key's value as of the snapshot instant, with no lock. The
 // value is appended to dst. Returns ErrNotFound when the key had no
 // live value at the snapshot epoch.
@@ -256,7 +218,7 @@ func (s *Snapshot) tryFastGet(sig index.Sig, submitAt sim.Time, key, dst []byte)
 	d.env.now.AdvanceTo(arrive)
 	d.env.ChargeCPU(d.cfg.CmdCPU)
 	d.env.ChargeCPU(r.OptimisticLookupCost())
-	hdr, storedKey, value, recEpoch, done, err := d.readPairEpoch(d.env.now.Load(), layout.RP(probe.RP), true)
+	hdr, storedKey, value, recEpoch, done, err := d.readFlashPair(d.env.now.Load(), layout.RP(probe.RP), true)
 	if err != nil {
 		return dst, 0, errSnapFallback
 	}
@@ -302,7 +264,7 @@ func (s *Snapshot) frozenGet(sig index.Sig, submitAt sim.Time, key, dst []byte) 
 		s.reads.Add(1)
 		return dst, d.env.now.Load(), ErrNotFound
 	}
-	hdr, storedKey, value, _, done, err := d.readPairEpoch(d.env.now.Load(), layout.RP(s.view[i].RP), true)
+	hdr, storedKey, value, _, done, err := d.readFlashPair(d.env.now.Load(), layout.RP(s.view[i].RP), true)
 	if err != nil {
 		if s.invalid.Load() {
 			return dst, d.env.now.Load(), ErrSnapshotInvalid
@@ -346,7 +308,7 @@ func (s *Snapshot) Scan(submitAt sim.Time, prefix []byte, withValues bool) ([]It
 	at := d.env.now.Load()
 	var out []IterEntry
 	for _, rec := range s.view {
-		hdr, key, value, _, done, err := d.readPairEpoch(at, layout.RP(rec.RP), withValues)
+		hdr, key, value, _, done, err := d.readFlashPair(at, layout.RP(rec.RP), withValues)
 		if err != nil {
 			if s.invalid.Load() {
 				return nil, d.env.now.Load(), ErrSnapshotInvalid

@@ -8,9 +8,9 @@
 // parses frames and dispatches them to bounded worker pools keyed by
 // Set.RouteKey. Every shard gets ONE writer worker — mutations on the
 // same shard execute in submission order — plus a small READ pool
-// (Options.ReadPool) serving GET/EXIST: the shard's RWMutex lets
-// DRAM-resident lookups run concurrently, so several read workers per
-// shard extract real parallelism from a single shard. Reads are
+// (Options.ReadPool) serving GET/EXIST: DRAM-resident lookups take no
+// shard lock at all (the lock-free read tier), so several read workers
+// per shard extract real parallelism from a single shard. Reads are
 // therefore not ordered against writes admitted concurrently on the
 // same shard; clients needing read-your-write order must await the
 // write's response before issuing the read (the wire protocol's
@@ -53,8 +53,8 @@ type Options struct {
 	// answers BUSY.
 	QueueDepth int
 	// ReadPool is the number of read workers per shard serving GET and
-	// EXIST (default 4). Reads run under the shard's read lock, so the
-	// pool executes DRAM-resident lookups concurrently; writes keep one
+	// EXIST (default 4). DRAM-resident lookups take no shard lock, so the
+	// pool executes them concurrently; writes keep one
 	// ordered worker per shard regardless.
 	ReadPool int
 	// RequestTimeout, when positive, drops requests that waited in

@@ -49,13 +49,13 @@ func benchSet(tb testing.TB, keys int, mutate ...func(*device.Config)) (*Set, []
 	return set, ks
 }
 
-// TestOptimisticGetZeroAlloc pins the allocation claim across the read
-// tiers: a DRAM-resident get with a reused value buffer allocates
-// nothing, whether it flows lock-free (the default), through the legacy
-// RWMutex tier, or — with the hot-value tier on — straight out of the
-// value cache without touching the index at all.
+// TestOptimisticGetZeroAlloc pins the allocation claim on the lock-free
+// read tier: a DRAM-resident get with a reused value buffer allocates
+// nothing, whether it probes the index (the default) or — with the
+// hot-value tier on — comes straight out of the value cache without
+// touching the index at all. The read ladder's closures must not escape.
 func TestOptimisticGetZeroAlloc(t *testing.T) {
-	for _, mode := range []string{"optimistic", "rwmutex", "valuecache"} {
+	for _, mode := range []string{"optimistic", "valuecache"} {
 		t.Run(mode, func(t *testing.T) {
 			var mutate []func(*device.Config)
 			if mode == "valuecache" {
@@ -63,9 +63,6 @@ func TestOptimisticGetZeroAlloc(t *testing.T) {
 			}
 			set, ks := benchSet(t, 256, mutate...)
 			defer set.Close()
-			if mode == "rwmutex" {
-				set.shards[0].opt = false
-			}
 			dst := make([]byte, 0, 256)
 			i := 0
 			allocs := testing.AllocsPerRun(2000, func() {
@@ -86,11 +83,6 @@ func TestOptimisticGetZeroAlloc(t *testing.T) {
 					t.Fatalf("optimistic=%d fallbacks=%d: not measuring the lock-free path",
 						st.OptimisticReads, st.FallbackExclusive)
 				}
-			case "rwmutex":
-				if st.LockUpgrades > 0 || st.SharedReads == 0 {
-					t.Fatalf("shared=%d upgrades=%d: not measuring the RWMutex path",
-						st.SharedReads, st.LockUpgrades)
-				}
 			case "valuecache":
 				if st.Dev.ValueCacheHits == 0 || st.FallbackExclusive > 0 {
 					t.Fatalf("vhits=%d fallbacks=%d: not measuring the value-cache hit path",
@@ -102,15 +94,10 @@ func TestOptimisticGetZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkConcurrentGet measures cache-hit GET throughput with 8
-// goroutines against ONE shard — the tentpole scenario. Three modes:
+// goroutines against ONE shard. Two modes:
 //
-//   - optimistic: the lock-free seqlock read path (this PR). Expected:
-//     0 allocs/op, no shard-level lock acquired.
-//   - exclusive: every read forced through the write lock via
-//     ForceExclusiveReads — the same front-end minus reader concurrency.
-//     On a multi-core host this is where the lock gap shows up as
-//     wall-clock; on a single-core CI box the two differ only by lock
-//     overhead, since timeslicing admits no parallel speedup.
+//   - optimistic: the lock-free seqlock read path. Expected: 0
+//     allocs/op, no shard-level lock acquired.
 //   - queued: reads funneled through ONE worker goroutine over a
 //     channel — the pre-read-pool serving architecture, where a shard's
 //     worker executed every command including reads. The lock-free path
@@ -129,60 +116,10 @@ func BenchmarkConcurrentGet(b *testing.B) {
 			b.Fatalf("%d reads fell back: not measuring the lock-free path", st.FallbackExclusive)
 		}
 	})
-	b.Run("exclusive", func(b *testing.B) {
-		set, ks := benchSet(b, keys)
-		defer set.Close()
-		set.ForceExclusiveReads(true)
-		runConcurrentGets(b, set, ks, goroutines)
-	})
 	b.Run("queued", func(b *testing.B) {
 		set, ks := benchSet(b, keys)
 		defer set.Close()
 		benchQueuedGets(b, set, ks, goroutines)
-	})
-}
-
-// BenchmarkOptimisticVsRWMutex isolates what the optimistic tier buys
-// over the previous read-locking designs on the identical workload: 8
-// goroutines, one shard, all buckets DRAM-resident.
-//
-//   - optimistic: seqlock validation under an epoch pin; no shard lock.
-//   - rwmutex: the prior PR's shared-RLock tier, forced by disabling the
-//     per-shard optimistic flag (the white-box toggle keeps everything
-//     else — device, cache state, key set — identical).
-//   - exclusive: the write lock, as the serialization floor.
-//
-// On a single-vCPU runner the three collapse toward lock overhead
-// deltas; the spread is real only with hardware parallelism. The CI
-// record (results/BENCH_8.json) carries the host's CPU count for that
-// reason.
-func BenchmarkOptimisticVsRWMutex(b *testing.B) {
-	const (
-		goroutines = 8
-		keys       = 1024
-	)
-	b.Run("optimistic", func(b *testing.B) {
-		set, ks := benchSet(b, keys)
-		defer set.Close()
-		runConcurrentGets(b, set, ks, goroutines)
-		if st := set.Stats(); st.FallbackExclusive > 0 {
-			b.Fatalf("%d reads fell back: not measuring the lock-free path", st.FallbackExclusive)
-		}
-	})
-	b.Run("rwmutex", func(b *testing.B) {
-		set, ks := benchSet(b, keys)
-		defer set.Close()
-		set.shards[0].opt = false
-		runConcurrentGets(b, set, ks, goroutines)
-		if st := set.Stats(); st.LockUpgrades > 0 {
-			b.Fatalf("%d reads upgraded: not measuring the RWMutex path", st.LockUpgrades)
-		}
-	})
-	b.Run("exclusive", func(b *testing.B) {
-		set, ks := benchSet(b, keys)
-		defer set.Close()
-		set.ForceExclusiveReads(true)
-		runConcurrentGets(b, set, ks, goroutines)
 	})
 }
 

@@ -15,19 +15,18 @@
 //
 // Locking model: each shard carries a sync.RWMutex. Mutating commands
 // (Store, Delete, Iterate, checkpoint/restart/close, batches) hold the
-// write lock. Retrieve and Exist on an optimistic-capable device (RHIK)
-// take NO shard-level lock on the hot path: the device's
+// write lock. Retrieve and Exist share one read ladder with two tiers.
+// The lock-free tier takes NO shard-level lock: the device's
 // TryRetrieveOptimistic/TryExistOptimistic validate against per-table
 // seqlocks and epoch-pinned reclamation, returning ErrOptimisticRetry
 // when a concurrent writer invalidated the attempt (retried up to
 // maxOptimisticRetries) or ErrNeedExclusive when the lookup must mutate
-// index structure (cache miss, unmigrated bucket) — then the shard
-// falls back to the write lock and re-executes. Devices without an
-// optimistic surface (mlhash, lsm) keep the legacy shared tier: the
-// read lock plus TryRetrieveShared/TryExistShared, upgrading to the
-// write lock on refusal. Optimistic reads therefore run concurrently
-// with writers — not just with each other — mutating only atomics
-// (clock advances, counters, CLOCK ref bits) along the way.
+// index structure (cache miss, unmigrated bucket). Either way the shard
+// then falls back to the write lock and re-executes. Devices without an
+// optimistic surface (mlhash, lsm) refuse every attempt at zero charge,
+// so their reads go straight to the write lock. Optimistic reads run
+// concurrently with writers — not just with each other — mutating only
+// atomics (clock advances, counters, CLOCK ref bits) along the way.
 package shard
 
 import (
@@ -52,13 +51,12 @@ const maxOptimisticRetries = 3
 // Shard is one emulated device plus the host-side submission state for
 // its command stream. The RWMutex serializes commands on this shard
 // only; commands on different shards run concurrently, and read
-// commands on the same shard run lock-free (optimistic tier) or under
-// the read lock (legacy shared tier) when the index answers from DRAM.
+// commands on the same shard run lock-free when the index answers from
+// DRAM.
 type Shard struct {
 	mu   sync.RWMutex
 	dev  *device.Device
 	last sim.AtomicTime // completion of the previous synchronous command
-	opt  bool           // device supports the lock-free read tier
 
 	// log and commitCh are non-nil once AttachWAL has run: mutations are
 	// then journaled to the per-shard commit log, and the synchronous
@@ -67,12 +65,9 @@ type Shard struct {
 	log      *wal.Log
 	commitCh chan *walReq
 
-	sharedReads  atomic.Int64 // reads served under the read lock (legacy tier)
-	lockUpgrades atomic.Int64 // legacy-tier reads that retried exclusively
-
 	optimisticReads   atomic.Int64 // reads served with no shard lock at all
 	optimisticRetries atomic.Int64 // lock-free attempts invalidated by a racing writer
-	fallbackExclusive atomic.Int64 // reads that escalated to the write lock
+	fallbackExclusive atomic.Int64 // reads the write lock served (all reads of a baseline index)
 }
 
 // Device exposes the shard's device. Callers must not issue commands
@@ -84,8 +79,6 @@ type Set struct {
 	shards []*Shard
 	scheme index.SigScheme
 	shift  uint // 64 - log2(len(shards)); Lo >> shift selects the shard
-
-	forceExclusive atomic.Bool // route reads through the write lock
 
 	snapsOpen atomic.Int64 // open SetSnapshots
 	snapReads atomic.Int64 // point reads served through snapshots
@@ -112,7 +105,7 @@ func New(n int, cfg device.Config) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.shards[i] = &Shard{dev: dev, opt: dev.SupportsOptimisticReads()}
+		s.shards[i] = &Shard{dev: dev}
 	}
 	s.scheme = s.shards[0].dev.Scheme()
 	return s, nil
@@ -123,11 +116,6 @@ func (s *Set) N() int { return len(s.shards) }
 
 // Shard returns shard i.
 func (s *Set) Shard(i int) *Shard { return s.shards[i] }
-
-// ForceExclusiveReads routes Retrieve/Exist through the write lock like
-// any mutation, disabling the shared fast path. Benchmark/experiment
-// knob for quantifying what reader concurrency buys.
-func (s *Set) ForceExclusiveReads(v bool) { s.forceExclusive.Store(v) }
 
 // RouteKey reports which shard owns key.
 func (s *Set) RouteKey(key []byte) int {
@@ -170,9 +158,9 @@ func (s *Set) Store(key, value []byte) error {
 }
 
 // Retrieve routes a synchronous get to the owning shard. DRAM-resident
-// lookups run under the shard's read lock, concurrently with other
-// reads; anything that would touch flash for metadata upgrades to the
-// write lock and re-executes.
+// lookups run lock-free, concurrently with other reads and writes;
+// anything that would touch flash for metadata falls back to the write
+// lock and re-executes.
 func (s *Set) Retrieve(key []byte) ([]byte, error) {
 	v, err := s.RetrieveAppend(nil, key)
 	if err != nil {
@@ -186,57 +174,47 @@ func (s *Set) Retrieve(key []byte) ([]byte, error) {
 // On error dst is returned unchanged.
 func (s *Set) RetrieveAppend(dst, key []byte) ([]byte, error) {
 	sh := s.shardOf(key)
-	if !s.forceExclusive.Load() {
-		if sh.opt {
-			// Lock-free tier: no shard lock at all. ErrOptimisticRetry
-			// means a racing writer invalidated the attempt — try again
-			// up to the retry budget; ErrNeedExclusive means only the
-			// write lock can serve it (page-in, lazy migration, value
-			// still in a volatile buffer).
-			for attempt := 0; ; attempt++ {
-				v, done, err := sh.dev.TryRetrieveOptimistic(sh.last.Load(), key, dst)
-				if err == nil {
-					sh.last.AdvanceTo(done)
-					sh.optimisticReads.Add(1)
-					return v, nil
-				}
-				if errors.Is(err, index.ErrOptimisticRetry) {
-					sh.optimisticRetries.Add(1)
-					if attempt < maxOptimisticRetries {
-						continue
-					}
-					break
-				}
-				if errors.Is(err, index.ErrNeedExclusive) {
-					break
-				}
-				return dst, err
-			}
-			sh.fallbackExclusive.Add(1)
-		} else {
-			sh.mu.RLock()
-			v, done, err := sh.dev.TryRetrieveShared(sh.last.Load(), key, dst)
-			if err == nil {
-				sh.last.AdvanceTo(done)
-				sh.mu.RUnlock()
-				sh.sharedReads.Add(1)
-				return v, nil
-			}
-			sh.mu.RUnlock()
-			if !errors.Is(err, index.ErrNeedExclusive) {
-				return dst, err
-			}
-			// Lock upgrade: the lookup needs to restructure index state
-			// (page-in, lazy migration). No simulated time was charged, so
-			// re-executing exclusively repeats nothing.
-			sh.lockUpgrades.Add(1)
-		}
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	v, done, err := sh.dev.RetrieveAppend(sh.last.Load(), key, dst)
+	v, err := read(sh,
+		func(at sim.Time) ([]byte, sim.Time, error) { return sh.dev.TryRetrieveOptimistic(at, key, dst) },
+		func(at sim.Time) ([]byte, sim.Time, error) { return sh.dev.RetrieveAppend(at, key, dst) })
 	if err != nil {
 		return dst, err
+	}
+	return v, nil
+}
+
+// read is the read ladder behind Retrieve and Exist. It makes the
+// lock-free attempt first. ErrOptimisticRetry means a racing writer
+// invalidated it: try again, up to maxOptimisticRetries times.
+// ErrNeedExclusive means only the write lock can serve the read
+// (page-in, lazy migration, value still in a volatile buffer, or an
+// index without an optimistic surface); the refusal charged no
+// simulated time, so re-executing under the lock repeats nothing.
+// Neither closure may escape: the hot path stays allocation-free.
+func read[T any](sh *Shard, try, locked func(at sim.Time) (T, sim.Time, error)) (T, error) {
+	for attempt := 0; ; attempt++ {
+		v, done, err := try(sh.last.Load())
+		if err == nil {
+			sh.last.AdvanceTo(done)
+			sh.optimisticReads.Add(1)
+			return v, nil
+		}
+		if errors.Is(err, index.ErrOptimisticRetry) {
+			sh.optimisticRetries.Add(1)
+			if attempt < maxOptimisticRetries {
+				continue
+			}
+		} else if !errors.Is(err, index.ErrNeedExclusive) {
+			return v, err
+		}
+		break
+	}
+	sh.fallbackExclusive.Add(1)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	v, done, err := locked(sh.last.Load())
+	if err != nil {
+		return v, err
 	}
 	sh.last.AdvanceTo(done)
 	return v, nil
@@ -261,56 +239,12 @@ func (s *Set) Delete(key []byte) error {
 }
 
 // Exist routes a synchronous membership check to the owning shard,
-// using the same optimistic-then-fallback (or shared-then-upgrade)
-// path as Retrieve.
+// through the same read ladder as Retrieve.
 func (s *Set) Exist(key []byte) (bool, error) {
 	sh := s.shardOf(key)
-	if !s.forceExclusive.Load() {
-		if sh.opt {
-			for attempt := 0; ; attempt++ {
-				ok, done, err := sh.dev.TryExistOptimistic(sh.last.Load(), key)
-				if err == nil {
-					sh.last.AdvanceTo(done)
-					sh.optimisticReads.Add(1)
-					return ok, nil
-				}
-				if errors.Is(err, index.ErrOptimisticRetry) {
-					sh.optimisticRetries.Add(1)
-					if attempt < maxOptimisticRetries {
-						continue
-					}
-					break
-				}
-				if errors.Is(err, index.ErrNeedExclusive) {
-					break
-				}
-				return false, err
-			}
-			sh.fallbackExclusive.Add(1)
-		} else {
-			sh.mu.RLock()
-			ok, done, err := sh.dev.TryExistShared(sh.last.Load(), key)
-			if err == nil {
-				sh.last.AdvanceTo(done)
-				sh.mu.RUnlock()
-				sh.sharedReads.Add(1)
-				return ok, nil
-			}
-			sh.mu.RUnlock()
-			if !errors.Is(err, index.ErrNeedExclusive) {
-				return false, err
-			}
-			sh.lockUpgrades.Add(1)
-		}
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ok, done, err := sh.dev.Exist(sh.last.Load(), key)
-	if err != nil {
-		return false, err
-	}
-	sh.last.AdvanceTo(done)
-	return ok, nil
+	return read(sh,
+		func(at sim.Time) (bool, sim.Time, error) { return sh.dev.TryExistOptimistic(at, key) },
+		func(at sim.Time) (bool, sim.Time, error) { return sh.dev.Exist(at, key) })
 }
 
 // Checkpoint makes accepted writes durable on every shard. Per-shard

@@ -16,17 +16,44 @@ import (
 
 // TestSnapshotFrozenReads: point reads and iteration through a snapshot
 // keep answering the capture-instant values while overwrites and
-// deletes land on the live set.
+// deletes land on the live set. Every hundredth value spans several
+// flash pages, so the live GET tiers and both snapshot readers must
+// reassemble extents.
 func TestSnapshotFrozenReads(t *testing.T) {
 	set := newSet(t, 4)
 	defer set.Close()
 
 	const n = 300
 	key := func(i int) []byte { return []byte(fmt.Sprintf("frz%05d", i)) }
-	val := func(gen, i int) []byte { return []byte(fmt.Sprintf("g%d-%d", gen, i)) }
+	val := func(gen, i int) []byte {
+		v := []byte(fmt.Sprintf("g%d-%d", gen, i))
+		if i%100 == 0 {
+			v = bytes.Repeat(v, (80<<10)/len(v)+1) // 32 KiB pages: a 3-page extent
+		}
+		return v
+	}
 	for i := 0; i < n; i++ {
 		if err := set.Store(key(i), val(1, i)); err != nil {
 			t.Fatal(err)
+		}
+	}
+
+	// The live read tiers reassemble the extents too. Both device entry
+	// points are called directly, so each tier is pinned: the exclusive
+	// body, and the lock-free one, which must not refuse (the checkpoint
+	// flushes the open pages it cannot read).
+	if err := set.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 100 {
+		sh := set.shardOf(key(i))
+		v, _, err := sh.dev.RetrieveAppend(sh.last.Load(), key(i), nil)
+		if err != nil || !bytes.Equal(v, val(1, i)) {
+			t.Fatalf("exclusive get %d: %d bytes, %v", i, len(v), err)
+		}
+		v, _, err = sh.dev.TryRetrieveOptimistic(sh.last.Load(), key(i), nil)
+		if err != nil || !bytes.Equal(v, val(1, i)) {
+			t.Fatalf("optimistic get %d: %d bytes, %v", i, len(v), err)
 		}
 	}
 

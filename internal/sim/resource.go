@@ -11,7 +11,7 @@ import "sync/atomic"
 // this is what makes async queue depth exploit die-level parallelism.
 //
 // Acquire is lock-free (a CAS loop over busyUntil) so concurrent readers —
-// which share a device under the shard read lock — can schedule flash and
+// which share a device with no shard lock — can schedule flash and
 // host-link operations without a global mutex. Concurrent Acquires
 // linearize in CAS order; single-threaded behaviour is unchanged.
 type Resource struct {

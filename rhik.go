@@ -118,9 +118,6 @@ type Options struct {
 	// doorkeeper) on RHIK's index-page cache, protecting hot directory
 	// buckets from one-touch scan traffic. Default off.
 	CacheAdmission bool
-	// ScanPrefetch makes prefix scans read each distinct data page once
-	// instead of once per record. Default off.
-	ScanPrefetch bool
 	// WAL configures the durable write front. Zero value = disabled: the
 	// emulated device is purely in-memory and all data dies with the
 	// process, exactly as before.
@@ -209,7 +206,6 @@ func OpenSet(opts Options) (*shard.Set, error) {
 		IncrementalResize:  opts.IncrementalResize,
 		ValueCacheBudget:   opts.ValueCacheBudget / int64(n),
 		CacheAdmission:     opts.CacheAdmission,
-		ScanPrefetch:       opts.ScanPrefetch,
 	}
 	switch opts.Index {
 	case RHIK:
