@@ -37,82 +37,20 @@ func (r *RHIK) Resize() error {
 	oldD := len(oldG.dirs)
 	newG := newGeneration(2 * oldD)
 	newG.cache = r.newCache(newG)
-	newCache := newG.cache
-	lowBit := uint64(oldD) // the new directory bit
 
-	// Migrate bucket by bucket. Each old bucket b splits into new buckets
-	// b and b+oldD, decided by bit d of each record's signature. The new
-	// generation is private until the swap below, so optimistic readers
-	// keep validating against the old generation: a bucket they probe is
-	// either untouched (the read linearizes before the resize) or already
-	// unpublished/poisoned (the read fails validation and escalates).
+	// The new generation is private until the swap below, so optimistic
+	// readers keep validating against the old generation: a bucket they
+	// probe is either untouched (the read linearizes before the resize)
+	// or already unpublished/poisoned (the read fails validation and
+	// escalates).
 	for b := uint64(0); b < uint64(oldD); b++ {
-		var src *tableEntry
-		if e, ok := r.cache.Remove(b); ok {
-			oldG.resident[b].Store(nil)
-			e.table.Invalidate()
-			src = e
-		} else if oldG.dirs[b].has {
-			data, err := r.env.ReadPage(oldG.dirs[b].ppa)
-			if err != nil {
-				return fmt.Errorf("core: resize read bucket %d: %w", b, err)
-			}
-			t := r.takeTable()
-			if err := t.DecodeFrom(data); err != nil {
-				r.recycle(t)
-				return fmt.Errorf("core: resize decode bucket %d: %w", b, err)
-			}
-			src = r.takeEntry(t)
-		}
-
-		lowT := r.takeEntry(r.takeEmptyTable())
-		lowT.dirty = true
-		highT := r.takeEntry(r.takeEmptyTable())
-		highT.dirty = true
-		if src != nil {
-			var migErr error
-			r.env.ChargeCPU(sim.Duration(src.table.Len()) * r.cfg.MigrateCPUPerRecord)
-			src.table.RangeWide(func(lo, hi, rp uint64) bool {
-				dst := lowT
-				if lo&lowBit != 0 {
-					dst = highT
-				}
-				if _, err := dst.table.PutWide(lo, hi, rp); err != nil {
-					migErr = fmt.Errorf("core: resize migration collision in bucket %d: %w", b, err)
-					return false
-				}
-				return true
-			})
-			if migErr != nil {
-				return migErr
-			}
-		}
-		if src != nil {
-			r.retireEntry(src)
-		}
-		// Empty tables need no flash presence: leave their directory
-		// entries unpersisted and skip caching.
-		if lowT.table.Len() > 0 {
-			newCache.Put(b, lowT, int64(lowT.table.EncodedBytes()))
-			r.publish(newG, b, lowT)
-		} else {
-			r.recycleEntry(lowT)
-		}
-		if highT.table.Len() > 0 {
-			newCache.Put(b+uint64(oldD), highT, int64(highT.table.EncodedBytes()))
-			r.publish(newG, b+uint64(oldD), highT)
-		} else {
-			r.recycleEntry(highT)
-		}
-		// The old persisted page is superseded.
-		if oldG.dirs[b].has {
-			r.env.Invalidate(oldG.dirs[b].ppa)
-			delete(r.live, oldG.dirs[b].ppa)
+		if err := r.splitBucket(oldG, newG, b, "resize"); err != nil {
+			return err
 		}
 	}
 
 	r.gen.Store(newG)
-	r.cache = newCache
+	r.cache = newG.cache
 	r.dBits++
 
 	if err := r.checkIO(); err != nil {
@@ -123,5 +61,67 @@ func (r *RHIK) Resize() error {
 		NewCapacity: r.Capacity(),
 		Took:        r.env.Now().Sub(start),
 	})
+	return nil
+}
+
+// splitBucket migrates old-generation bucket b into buckets b and
+// b+len(oldG.dirs) of newG, decided by that new directory bit of each
+// record's stored signature. The source table leaves oldG's cache
+// (unpublished and poisoned before its records move, so an optimistic
+// reader still probing oldG fails validation instead of seeing a stale
+// bucket) or is read off flash — at most one flash read, like any bucket
+// access. Each non-empty half is cached and published in newG; an empty
+// half needs no flash presence and is recycled. The superseded page is
+// invalidated. op names the caller in errors.
+func (r *RHIK) splitBucket(oldG, newG *generation, b uint64, op string) error {
+	var src *tableEntry
+	if e, ok := oldG.cache.Remove(b); ok {
+		oldG.resident[b].Store(nil)
+		e.table.Invalidate()
+		src = e
+	} else if oldG.dirs[b].has {
+		t, err := r.readTable(oldG.dirs[b].ppa)
+		if err != nil {
+			return fmt.Errorf("core: %s read bucket %d: %w", op, b, err)
+		}
+		src = r.takeEntry(t)
+	}
+
+	oldD := uint64(len(oldG.dirs))
+	halves := [2]*tableEntry{r.takeEntry(r.takeEmptyTable()), r.takeEntry(r.takeEmptyTable())}
+	if src != nil {
+		var migErr error
+		r.env.ChargeCPU(sim.Duration(src.table.Len()) * r.cfg.MigrateCPUPerRecord)
+		src.table.RangeWide(func(lo, hi, rp uint64) bool {
+			dst := halves[0]
+			if lo&oldD != 0 {
+				dst = halves[1]
+			}
+			if _, err := dst.table.PutWide(lo, hi, rp); err != nil {
+				migErr = fmt.Errorf("core: %s migration collision in bucket %d: %w", op, b, err)
+				return false
+			}
+			return true
+		})
+		if migErr != nil {
+			return migErr
+		}
+		r.retireEntry(src)
+	}
+	for i, e := range halves {
+		nb := b + uint64(i)*oldD
+		if e.table.Len() == 0 {
+			r.recycleEntry(e)
+			continue
+		}
+		e.dirty = true
+		newG.cache.Put(nb, e, int64(e.table.EncodedBytes()))
+		r.publish(newG, nb, e)
+	}
+	if oldG.dirs[b].has {
+		r.env.Invalidate(oldG.dirs[b].ppa)
+		delete(r.live, oldG.dirs[b].ppa)
+		oldG.dirs[b].has = false
+	}
 	return nil
 }

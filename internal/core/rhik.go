@@ -211,6 +211,7 @@ type RHIK struct {
 	cache *dram.Cache[*tableEntry]   // == gen.Load().cache; writer convenience
 	live  map[nand.PPA]uint64        // persisted page -> bucket, for index-zone GC
 	pool  []*hopscotch.Table         // recycled tables; avoids per-miss allocation
+	page  []byte                     // write-back staging page; AppendPage copies it
 	epool []*tableEntry              // recycled cache entries; keeps misses alloc-free
 	mig   *migration                 // in-flight incremental re-configuration
 
@@ -353,7 +354,9 @@ func (r *RHIK) recycle(t *hopscotch.Table) {
 }
 
 // takeTable pops a pooled table (contents undefined) or allocates one.
-// Callers either DecodeFrom (which overwrites every slot) or Reset.
+// Callers overwrite its whole page image before use — readTable copies
+// a flash page in, takeEmptyTable resets it — with plain stores, which
+// is safe because a pooled table is unreachable by readers.
 func (r *RHIK) takeTable() *hopscotch.Table {
 	if n := len(r.pool); n > 0 {
 		t := r.pool[n-1]
@@ -393,10 +396,19 @@ func (r *RHIK) recycleEntry(e *tableEntry) {
 }
 
 // writeTable persists a record table and repoints its directory entry.
+// The page is staged in the reusable r.page, which AppendPage copies. It
+// is taken out of r.page for the call: the device's AppendPage may run
+// GC first, and GC relocates other buckets through a nested writeTable,
+// which must stage elsewhere.
 func (r *RHIK) writeTable(dirs []dirEntry, bucket uint64, e *tableEntry) error {
-	buf := make([]byte, e.table.EncodedBytes())
+	buf := r.page
+	if buf == nil {
+		buf = make([]byte, e.table.EncodedBytes())
+	}
+	r.page = nil
 	e.table.EncodeTo(buf)
 	ppa, err := r.env.AppendPage(buf)
+	r.page = buf
 	if err != nil {
 		return err
 	}
@@ -414,6 +426,21 @@ func (r *RHIK) bucketOf(sig index.Sig) uint64 {
 	return sig.Lo & uint64(len(r.g().dirs)-1)
 }
 
+// readTable pages the record table persisted at ppa into a pooled table:
+// one flash read, then a word copy of the page image.
+func (r *RHIK) readTable(ppa nand.PPA) (*hopscotch.Table, error) {
+	data, err := r.env.ReadPage(ppa)
+	if err != nil {
+		return nil, err
+	}
+	t := r.takeTable()
+	if err := t.DecodeFrom(data); err != nil {
+		r.recycle(t)
+		return nil, err
+	}
+	return t, nil
+}
+
 func (r *RHIK) newTable() *hopscotch.Table {
 	if r.cfg.SigScheme.Wide() {
 		return hopscotch.NewWide(r.r, r.cfg.HopRange)
@@ -428,19 +455,14 @@ func (r *RHIK) loadTable(bucket uint64) (*tableEntry, error) {
 		return e, nil
 	}
 	g := r.g()
-	t := r.takeTable()
+	var t *hopscotch.Table
 	if g.dirs[bucket].has {
-		data, err := r.env.ReadPage(g.dirs[bucket].ppa)
-		if err != nil {
-			r.recycle(t)
-			return nil, err
-		}
-		if err := t.DecodeFrom(data); err != nil {
-			r.recycle(t)
+		var err error
+		if t, err = r.readTable(g.dirs[bucket].ppa); err != nil {
 			return nil, err
 		}
 	} else {
-		t.Reset()
+		t = r.takeEmptyTable()
 	}
 	e := r.takeEntry(t)
 	e.bucket = bucket

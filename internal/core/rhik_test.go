@@ -24,6 +24,9 @@ type memEnv struct {
 	invalidated map[nand.PPA]bool
 	readCost    sim.Duration
 	failAppends bool
+	// onAppend, when set, runs once inside the next AppendPage before the
+	// page is stored, as the device's index-zone GC does.
+	onAppend func()
 }
 
 func newMemEnv() *memEnv {
@@ -47,6 +50,10 @@ func (e *memEnv) ReadPage(p nand.PPA) ([]byte, error) {
 func (e *memEnv) AppendPage(data []byte) (nand.PPA, error) {
 	if e.failAppends {
 		return 0, errors.New("memEnv: append failure injected")
+	}
+	if f := e.onAppend; f != nil {
+		e.onAppend = nil
+		f()
 	}
 	p := e.next
 	e.next++
@@ -396,6 +403,53 @@ func TestRelocateKeepsRecordsAndInvalidatesOld(t *testing.T) {
 	for _, lo := range sigs {
 		if _, ok, err := r.Lookup(sig64(lo)); err != nil || !ok {
 			t.Fatalf("record lost after relocation: %v %v", ok, err)
+		}
+	}
+}
+
+// TestRelocateDuringWriteBack mirrors the device, whose AppendPage may
+// run index-zone GC before programming the page, and GC relocates other
+// buckets through a nested write-back. Both pages must reach flash
+// intact: every record is re-read from flash by a restored instance.
+func TestRelocateDuringWriteBack(t *testing.T) {
+	cfg := Config{PageSize: 1024, AnticipatedKeys: 200}
+	r, env := newTestRHIK(t, cfg)
+	rng := rand.New(rand.NewSource(8))
+	inserted := map[uint64]uint64{}
+	for i := 0; len(inserted) < 100; i++ {
+		lo := rng.Uint64()
+		if _, _, err := r.Insert(sig64(lo), uint64(i+1)); err == nil {
+			inserted[lo] = uint64(i + 1)
+		}
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if r.DirEntries() < 2 {
+		t.Fatalf("need two buckets, have %d", r.DirEntries())
+	}
+	env.onAppend = func() {
+		if err := r.Relocate(1); err != nil {
+			t.Errorf("nested relocate: %v", err)
+		}
+	}
+	if err := r.Relocate(0); err != nil {
+		t.Fatal(err)
+	}
+	if env.onAppend != nil {
+		t.Fatal("relocation did not append a page")
+	}
+
+	r2, err := New(cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.LoadState(r.EncodeState()); err != nil {
+		t.Fatal(err)
+	}
+	for lo, rp := range inserted {
+		if got, ok, err := r2.Lookup(sig64(lo)); err != nil || !ok || got != rp {
+			t.Fatalf("Lookup(%#x) from flash = (%d,%v,%v), want %d", lo, got, ok, err, rp)
 		}
 	}
 }

@@ -111,9 +111,9 @@ func TestSeqlockTorture(t *testing.T) {
 
 	// Mutator: churn inserts/deletes so slots are constantly rewritten
 	// and displaced mid-probe. Keep mutating until the readers have made
-	// real progress (on a single core the tight loop can otherwise
-	// finish before they are ever scheduled), with a generous round cap
-	// as the safety net.
+	// real progress and at least one probe overlapped a write (on a
+	// single core the tight loop can otherwise finish before they are
+	// ever scheduled), with the deadline as the safety net.
 	deadline := time.Now().Add(5 * time.Second)
 	for round := 0; !t.Failed(); round++ {
 		id := uint64(round) % ids
@@ -125,7 +125,7 @@ func TestSeqlockTorture(t *testing.T) {
 		}
 		if round%1024 == 0 {
 			runtime.Gosched()
-			if (round >= 40000 && accepted.Load() > 10000) || time.Now().After(deadline) {
+			if (round >= 40000 && accepted.Load() > 10000 && torn.Load() > 0) || time.Now().After(deadline) {
 				break
 			}
 		}

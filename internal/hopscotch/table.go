@@ -1,11 +1,13 @@
 // Package hopscotch implements the fixed-capacity hopscotch hash table
 // that RHIK uses for each record-layer index page (§IV-A1). A table holds
 // exactly R records of the form {key signature, physical page address,
-// hopinfo}; R is chosen so the serialized table fills one flash page
-// (Eq. 1). Collisions are resolved by hopscotch displacement within a hop
-// range of H slots (32 by default). When no slot can be freed within the
-// hop range the insert fails with ErrNoSlot — the paper's "uncorrectable
-// error" whose rate Fig. 8 studies.
+// hopinfo}; R is chosen so the table fills one flash page (Eq. 1). The
+// table's only state is that page image, probed in place, so moving a
+// table between flash and DRAM is a word copy with no decode step.
+// Collisions are resolved by hopscotch displacement within a hop range of
+// H slots (32 by default). When no slot can be freed within the hop range
+// the insert fails with ErrNoSlot — the paper's "uncorrectable error"
+// whose rate Fig. 8 studies.
 package hopscotch
 
 import (
@@ -32,9 +34,10 @@ const SlotSizeWide = 16 + 5 + 4
 // bits, one per slot in the neighborhood.
 const MaxHopRange = 32
 
-// emptyPPA marks an unoccupied slot on flash. Physical page addresses are
-// 40-bit and the emulated devices stay far below 2^40-1 pages.
-const emptyPPA = 1<<40 - 1
+// emptyPPA marks an unoccupied slot; it doubles as the 40-bit PPA mask.
+// Physical page addresses are 40-bit and the emulated devices stay far
+// below 2^40-1 pages.
+const emptyPPA uint64 = 1<<40 - 1
 
 // ErrNoSlot is returned by Put when hopscotch displacement cannot free a
 // slot within the hop range of the key's home bucket. The caller (RHIK)
@@ -42,25 +45,42 @@ const emptyPPA = 1<<40 - 1
 var ErrNoSlot = errors.New("hopscotch: no free slot within hop range")
 
 // Table is a fixed-capacity hopscotch hash table mapping 64-bit key
-// signatures to physical page addresses. Mutations are not safe for
-// concurrent use — RHIK serializes them under the shard write lock —
-// but the table carries a seqlock version counter so OPTIMISTIC readers
-// may race mutators: a reader snapshots the version (SeqSnapshot),
-// probes with GetOptimistic, and re-checks (SeqValidate); a mismatch
-// means the read overlapped a write and must be retried or escalated.
-// The counter is odd for the duration of every mutation and bumped to
-// the next even value when it completes; Invalidate parks it odd
-// permanently when the table leaves reader reachability (eviction,
-// migration, pool recycling), so stale probes can never validate.
+// signatures to physical page addresses. Its state is its flash page
+// image, held as little-endian 64-bit words in column order:
+//
+//	sigs [R]uint64  low signature halves
+//	his  [R]uint64  high signature halves (wide tables only)
+//	hops [R]uint32  hopinfo bitmaps, two per word
+//	ppas [R]uint40  page addresses, packed; all-ones marks an empty slot
+//
+// That is R·SlotSize bytes (R·SlotSizeWide when wide), the footprint
+// Eq. 1 budgets; EncodeTo and DecodeFrom copy it word for word. A slot is
+// occupied exactly when its PPA is not the empty sentinel, and then
+// exactly one hop bit (in its home bucket's bitmap) points at it; the
+// other fields of an empty slot are ignored.
+//
+// Mutations are not safe for concurrent use — RHIK serializes them under
+// the shard write lock — but the table carries a seqlock version counter
+// so OPTIMISTIC readers may race mutators: a reader snapshots the version
+// (SeqSnapshot), probes with GetOptimistic, and re-checks (SeqValidate);
+// a mismatch means the read overlapped a write and must be retried or
+// escalated. Put and Delete write words atomically, so a racing probe
+// reads torn values at worst, never racy memory; validation rejects them.
+// Reset and DecodeFrom rewrite the whole image with plain stores: they
+// are only called on tables no reader can reach (see DESIGN.md §4b). The
+// counter is odd for the duration of every mutation and bumped to the
+// next even value when it completes; Invalidate parks it odd permanently
+// when the table leaves reader reachability (eviction, migration, pool
+// recycling), so stale probes can never validate.
 type Table struct {
 	seq  atomic.Uint64
-	sigs []uint64
-	his  []uint64 // upper signature halves; nil in 64-bit mode
-	ppas []uint64
-	hops []uint32
-	used []bool
+	w    []uint64 // the page image; bytes past EncodedBytes are padding
+	r    int      // capacity R
+	hopW int      // word index of the hops column
+	ppaB int      // byte offset of the ppas column
 	n    int
 	hop  int
+	wide bool
 }
 
 // beginWrite makes the sequence odd for the duration of a mutation.
@@ -123,21 +143,18 @@ func newTable(capacity, hopRange int, wide bool) *Table {
 	if hopRange > capacity {
 		hopRange = capacity
 	}
-	t := &Table{
-		sigs: make([]uint64, capacity),
-		ppas: make([]uint64, capacity),
-		hops: make([]uint32, capacity),
-		used: make([]bool, capacity),
-		hop:  hopRange,
-	}
+	hopW := capacity
 	if wide {
-		t.his = make([]uint64, capacity)
+		hopW = 2 * capacity
 	}
+	t := &Table{r: capacity, hopW: hopW, ppaB: 8*hopW + 4*capacity, hop: hopRange, wide: wide}
+	t.w = make([]uint64, (t.EncodedBytes()+7)/8)
+	t.Reset()
 	return t
 }
 
 // Wide reports whether the table stores 128-bit signatures.
-func (t *Table) Wide() bool { return t.his != nil }
+func (t *Table) Wide() bool { return t.wide }
 
 // SlotSizeOf reports the serialized slot size of this table.
 func (t *Table) SlotSizeOf() int {
@@ -151,38 +168,55 @@ func (t *Table) SlotSizeOf() int {
 func (t *Table) Len() int { return t.n }
 
 // Cap reports the slot capacity R.
-func (t *Table) Cap() int { return len(t.sigs) }
+func (t *Table) Cap() int { return t.r }
 
 // HopRange reports the hop range H.
 func (t *Table) HopRange() int { return t.hop }
 
 // Occupancy reports Len/Cap in [0,1].
-func (t *Table) Occupancy() float64 { return float64(t.n) / float64(len(t.sigs)) }
+func (t *Table) Occupancy() float64 { return float64(t.n) / float64(t.r) }
 
 func (t *Table) home(sig uint64) int {
 	// The record layer's "fixed hash function": a full 64-bit remix so the
 	// in-table position is independent of the directory's low-bit
 	// selection of the table itself.
-	return int(hash.Mix64(sig) % uint64(len(t.sigs)))
+	return int(hash.Mix64(sig) % uint64(t.r))
 }
 
 func (t *Table) dist(from, to int) int {
 	d := to - from
 	if d < 0 {
-		d += len(t.sigs)
+		d += t.r
 	}
 	return d
 }
 
 func (t *Table) hiOf(slot int) uint64 {
-	if t.his == nil {
+	if !t.wide {
 		return 0
 	}
-	return t.his[slot]
+	return t.w[t.r+slot]
 }
 
+func (t *Table) hopAt(b int) uint32 {
+	return uint32(t.w[t.hopW+b>>1] >> (uint(b&1) * 32))
+}
+
+// ppaAt reads slot's 40-bit PPA, which may straddle two words.
+func (t *Table) ppaAt(slot int) uint64 {
+	off := t.ppaB + 5*slot
+	i, sh := off>>3, uint(off&7)*8
+	v := t.w[i] >> sh
+	if sh > 24 {
+		v |= t.w[i+1] << (64 - sh)
+	}
+	return v & emptyPPA
+}
+
+// match reports whether slot holds (lo, hi). Callers reach slot through a
+// hop bit, which implies it is occupied.
 func (t *Table) match(slot int, lo, hi uint64) bool {
-	return t.used[slot] && t.sigs[slot] == lo && t.hiOf(slot) == hi
+	return t.w[slot] == lo && t.hiOf(slot) == hi
 }
 
 // Get returns the physical page address stored for sig.
@@ -192,39 +226,76 @@ func (t *Table) Get(sig uint64) (ppa uint64, ok bool) { return t.GetWide(sig, 0)
 // tables hi must be 0.
 func (t *Table) GetWide(lo, hi uint64) (ppa uint64, ok bool) {
 	home := t.home(lo)
-	for hop := t.hops[home]; hop != 0; hop &= hop - 1 {
-		i := bits.TrailingZeros32(hop)
-		slot := (home + i) % len(t.sigs)
+	for hop := t.hopAt(home); hop != 0; hop &= hop - 1 {
+		slot := (home + bits.TrailingZeros32(hop)) % t.r
 		if t.match(slot, lo, hi) {
-			return t.ppas[slot], true
+			return t.ppaAt(slot), true
 		}
 	}
 	return 0, false
 }
 
 // GetOptimistic is GetWide for seqlock readers racing a mutator: every
-// slot-array access is an atomic load, and it never touches the
-// plain-written used[]/n fields (a set hop bit implies the slot was
-// occupied at some even sequence; torn states are rejected by the
-// caller's SeqValidate). The returned value is only meaningful if the
-// surrounding SeqSnapshot/SeqValidate pair passes.
+// word access is an atomic load and it never reads the plain-written n
+// field. A set hop bit implies the slot was occupied at some even
+// sequence, and a PPA straddling two words is read with two loads; torn
+// states are rejected by the caller's SeqValidate. The returned value is
+// only meaningful if the surrounding SeqSnapshot/SeqValidate pair passes.
 func (t *Table) GetOptimistic(lo, hi uint64) (ppa uint64, ok bool) {
 	home := t.home(lo)
-	for hop := atomic.LoadUint32(&t.hops[home]); hop != 0; hop &= hop - 1 {
-		i := bits.TrailingZeros32(hop)
-		slot := (home + i) % len(t.sigs)
-		if atomic.LoadUint64(&t.sigs[slot]) == lo && t.hiOptimistic(slot) == hi {
-			return atomic.LoadUint64(&t.ppas[slot]), true
+	hops := uint32(atomic.LoadUint64(&t.w[t.hopW+home>>1]) >> (uint(home&1) * 32))
+	for ; hops != 0; hops &= hops - 1 {
+		slot := (home + bits.TrailingZeros32(hops)) % t.r
+		if atomic.LoadUint64(&t.w[slot]) == lo && t.hiOptimistic(slot) == hi {
+			return t.ppaOptimistic(slot), true
 		}
 	}
 	return 0, false
 }
 
 func (t *Table) hiOptimistic(slot int) uint64 {
-	if t.his == nil {
+	if !t.wide {
 		return 0
 	}
-	return atomic.LoadUint64(&t.his[slot])
+	return atomic.LoadUint64(&t.w[t.r+slot])
+}
+
+func (t *Table) ppaOptimistic(slot int) uint64 {
+	off := t.ppaB + 5*slot
+	i, sh := off>>3, uint(off&7)*8
+	v := atomic.LoadUint64(&t.w[i]) >> sh
+	if sh > 24 {
+		v |= atomic.LoadUint64(&t.w[i+1]) << (64 - sh)
+	}
+	return v & emptyPPA
+}
+
+// storeHop atomically rewrites bucket b's hopinfo bitmap, preserving the
+// other half of its word.
+func (t *Table) storeHop(b int, hop uint32) {
+	i, sh := t.hopW+b>>1, uint(b&1)*32
+	atomic.StoreUint64(&t.w[i], t.w[i]&^(0xffffffff<<sh)|uint64(hop)<<sh)
+}
+
+// storePPA atomically rewrites slot's PPA, preserving its neighbours'
+// bytes in the one or two words it spans.
+func (t *Table) storePPA(slot int, ppa uint64) {
+	ppa &= emptyPPA
+	off := t.ppaB + 5*slot
+	i, sh := off>>3, uint(off&7)*8
+	atomic.StoreUint64(&t.w[i], t.w[i]&^(emptyPPA<<sh)|ppa<<sh)
+	if sh > 24 {
+		atomic.StoreUint64(&t.w[i+1], t.w[i+1]&^(emptyPPA>>(64-sh))|ppa>>(64-sh))
+	}
+}
+
+// storeSlot atomically writes a record into slot.
+func (t *Table) storeSlot(slot int, lo, hi, ppa uint64) {
+	atomic.StoreUint64(&t.w[slot], lo)
+	if t.wide {
+		atomic.StoreUint64(&t.w[t.r+slot], hi)
+	}
+	t.storePPA(slot, ppa)
 }
 
 // Put inserts or updates the record for sig. It reports whether an
@@ -238,25 +309,24 @@ func (t *Table) Put(sig, ppa uint64) (replaced bool, err error) {
 // signature.
 func (t *Table) PutWide(lo, hi, ppa uint64) (replaced bool, err error) {
 	home := t.home(lo)
-	for hop := t.hops[home]; hop != 0; hop &= hop - 1 {
-		i := bits.TrailingZeros32(hop)
-		slot := (home + i) % len(t.sigs)
+	for hop := t.hopAt(home); hop != 0; hop &= hop - 1 {
+		slot := (home + bits.TrailingZeros32(hop)) % t.r
 		if t.match(slot, lo, hi) {
 			t.beginWrite()
-			atomic.StoreUint64(&t.ppas[slot], ppa)
+			t.storePPA(slot, ppa)
 			t.endWrite()
 			return true, nil
 		}
 	}
-	if t.n == len(t.sigs) {
+	if t.n == t.r {
 		return false, ErrNoSlot
 	}
 
 	// Linear-probe for the nearest free slot.
 	free := -1
-	for d := 0; d < len(t.sigs); d++ {
-		slot := (home + d) % len(t.sigs)
-		if !t.used[slot] {
+	for d := 0; d < t.r; d++ {
+		slot := (home + d) % t.r
+		if t.ppaAt(slot) == emptyPPA {
 			free = slot
 			break
 		}
@@ -270,24 +340,20 @@ func (t *Table) PutWide(lo, hi, ppa uint64) (replaced bool, err error) {
 	for t.dist(home, free) >= t.hop {
 		moved := false
 		for j := t.hop - 1; j >= 1; j-- {
-			cand := (free - j + len(t.sigs)) % len(t.sigs)
-			if !t.used[cand] {
+			cand := (free - j + t.r) % t.r
+			candPPA := t.ppaAt(cand)
+			if candPPA == emptyPPA {
 				continue
 			}
-			candHome := t.home(t.sigs[cand])
+			candHome := t.home(t.w[cand])
 			if t.dist(candHome, free) >= t.hop {
 				continue
 			}
 			// Move the candidate record into the free slot.
-			atomic.StoreUint64(&t.sigs[free], t.sigs[cand])
-			if t.his != nil {
-				atomic.StoreUint64(&t.his[free], t.his[cand])
-			}
-			atomic.StoreUint64(&t.ppas[free], t.ppas[cand])
-			t.used[free] = true
-			t.used[cand] = false
-			atomic.StoreUint32(&t.hops[candHome],
-				t.hops[candHome]&^(1<<uint(t.dist(candHome, cand)))|1<<uint(t.dist(candHome, free)))
+			t.storeSlot(free, t.w[cand], t.hiOf(cand), candPPA)
+			t.storePPA(cand, emptyPPA)
+			t.storeHop(candHome,
+				t.hopAt(candHome)&^(1<<uint(t.dist(candHome, cand)))|1<<uint(t.dist(candHome, free)))
 			free = cand
 			moved = true
 			break
@@ -298,13 +364,8 @@ func (t *Table) PutWide(lo, hi, ppa uint64) (replaced bool, err error) {
 		}
 	}
 
-	atomic.StoreUint64(&t.sigs[free], lo)
-	if t.his != nil {
-		atomic.StoreUint64(&t.his[free], hi)
-	}
-	atomic.StoreUint64(&t.ppas[free], ppa)
-	t.used[free] = true
-	atomic.StoreUint32(&t.hops[home], t.hops[home]|1<<uint(t.dist(home, free)))
+	t.storeSlot(free, lo, hi, ppa)
+	t.storeHop(home, t.hopAt(home)|1<<uint(t.dist(home, free)))
 	t.n++
 	t.endWrite()
 	return false, nil
@@ -316,19 +377,14 @@ func (t *Table) Delete(sig uint64) (ppa uint64, ok bool) { return t.DeleteWide(s
 // DeleteWide removes a record keyed by its full (lo, hi) signature.
 func (t *Table) DeleteWide(lo, hi uint64) (ppa uint64, ok bool) {
 	home := t.home(lo)
-	for hop := t.hops[home]; hop != 0; hop &= hop - 1 {
+	for hop := t.hopAt(home); hop != 0; hop &= hop - 1 {
 		i := bits.TrailingZeros32(hop)
-		slot := (home + i) % len(t.sigs)
+		slot := (home + i) % t.r
 		if t.match(slot, lo, hi) {
-			ppa = t.ppas[slot]
+			ppa = t.ppaAt(slot)
 			t.beginWrite()
-			t.used[slot] = false
-			atomic.StoreUint64(&t.sigs[slot], 0)
-			if t.his != nil {
-				atomic.StoreUint64(&t.his[slot], 0)
-			}
-			atomic.StoreUint64(&t.ppas[slot], 0)
-			atomic.StoreUint32(&t.hops[home], t.hops[home]&^(1<<uint(i)))
+			t.storePPA(slot, emptyPPA)
+			t.storeHop(home, t.hopAt(home)&^(1<<uint(i)))
 			t.n--
 			t.endWrite()
 			return ppa, true
@@ -340,8 +396,8 @@ func (t *Table) DeleteWide(lo, hi uint64) (ppa uint64, ok bool) {
 // Range calls f for every stored record until f returns false. Iteration
 // order is slot order, not insertion order.
 func (t *Table) Range(f func(sig, ppa uint64) bool) {
-	for i, u := range t.used {
-		if u && !f(t.sigs[i], t.ppas[i]) {
+	for i := 0; i < t.r; i++ {
+		if ppa := t.ppaAt(i); ppa != emptyPPA && !f(t.w[i], ppa) {
 			return
 		}
 	}
@@ -349,25 +405,23 @@ func (t *Table) Range(f func(sig, ppa uint64) bool) {
 
 // RangeWide is Range with the full (lo, hi) signature exposed.
 func (t *Table) RangeWide(f func(lo, hi, ppa uint64) bool) {
-	for i, u := range t.used {
-		if u && !f(t.sigs[i], t.hiOf(i), t.ppas[i]) {
+	for i := 0; i < t.r; i++ {
+		if ppa := t.ppaAt(i); ppa != emptyPPA && !f(t.w[i], t.hiOf(i), ppa) {
 			return
 		}
 	}
 }
 
-// Reset empties the table in place. It runs a full write bracket, so it
-// also revives an Invalidate-poisoned counter on pool reuse.
+// Reset empties the table in place: zero signatures and hop bitmaps, the
+// empty sentinel in every PPA. It runs a full write bracket, so it also
+// revives an Invalidate-poisoned counter on pool reuse.
 func (t *Table) Reset() {
 	t.beginWrite()
-	for i := range t.used {
-		t.used[i] = false
-		atomic.StoreUint64(&t.sigs[i], 0)
-		if t.his != nil {
-			atomic.StoreUint64(&t.his[i], 0)
-		}
-		atomic.StoreUint64(&t.ppas[i], 0)
-		atomic.StoreUint32(&t.hops[i], 0)
+	i := t.ppaB / 8
+	clear(t.w[:i])
+	t.w[i] = ^uint64(0) << (8 * uint(t.ppaB%8))
+	for i++; i < len(t.w); i++ {
+		t.w[i] = ^uint64(0)
 	}
 	t.n = 0
 	t.endWrite()
@@ -381,89 +435,52 @@ func EncodedSize(capacity int) int { return capacity * SlotSize }
 func EncodedSizeWide(capacity int) int { return capacity * SlotSizeWide }
 
 // EncodedBytes reports the flash footprint of this table.
-func (t *Table) EncodedBytes() int { return len(t.sigs) * t.SlotSizeOf() }
+func (t *Table) EncodedBytes() int { return t.r * t.SlotSizeOf() }
 
-// EncodeTo serializes the table into buf, which must hold at least
-// t.EncodedBytes() bytes. The layout per slot is little-endian
-// {sig:8[+hi:8], ppa:5, hopinfo:4}; unoccupied slots carry the all-ones
-// PPA.
+// EncodeTo writes the table's page image into buf, which must hold at
+// least t.EncodedBytes() bytes.
 func (t *Table) EncodeTo(buf []byte) {
 	need := t.EncodedBytes()
 	if len(buf) < need {
 		panic(fmt.Sprintf("hopscotch: encode buffer %d < %d", len(buf), need))
 	}
-	ss := t.SlotSizeOf()
-	for i := range t.sigs {
-		off := i * ss
-		ppa := uint64(emptyPPA)
-		var lo, hi uint64
-		if t.used[i] {
-			ppa = t.ppas[i]
-			lo = t.sigs[i]
-			hi = t.hiOf(i)
-		}
-		binary.LittleEndian.PutUint64(buf[off:], lo)
-		off += 8
-		if t.his != nil {
-			binary.LittleEndian.PutUint64(buf[off:], hi)
-			off += 8
-		}
-		putUint40(buf[off:], ppa)
-		binary.LittleEndian.PutUint32(buf[off+5:], t.hops[i])
+	full := need / 8
+	for i, v := range t.w[:full] {
+		binary.LittleEndian.PutUint64(buf[8*i:], v)
+	}
+	if need > 8*full {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], t.w[full])
+		copy(buf[8*full:need], tail[:])
 	}
 }
 
-// DecodeFrom rebuilds the table state from a buffer produced by EncodeTo.
-// The buffer's capacity and signature width must match the table's.
+// DecodeFrom loads a page image produced by EncodeTo and recounts the
+// records from the hop bitmaps. The buffer's capacity and signature width
+// must match the table's.
 func (t *Table) DecodeFrom(buf []byte) error {
 	need := t.EncodedBytes()
 	if len(buf) < need {
 		return fmt.Errorf("hopscotch: decode buffer %d < %d", len(buf), need)
 	}
-	ss := t.SlotSizeOf()
+	full := need / 8
 	t.beginWrite()
-	t.n = 0
-	for i := range t.sigs {
-		off := i * ss
-		lo := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		var hi uint64
-		if t.his != nil {
-			hi = binary.LittleEndian.Uint64(buf[off:])
-			off += 8
-		}
-		ppa := uint40(buf[off:])
-		atomic.StoreUint32(&t.hops[i], binary.LittleEndian.Uint32(buf[off+5:]))
-		if ppa == emptyPPA {
-			t.used[i] = false
-			atomic.StoreUint64(&t.sigs[i], 0)
-			if t.his != nil {
-				atomic.StoreUint64(&t.his[i], 0)
-			}
-			atomic.StoreUint64(&t.ppas[i], 0)
-			continue
-		}
-		t.used[i] = true
-		atomic.StoreUint64(&t.sigs[i], lo)
-		if t.his != nil {
-			atomic.StoreUint64(&t.his[i], hi)
-		}
-		atomic.StoreUint64(&t.ppas[i], ppa)
-		t.n++
+	for i := range t.w[:full] {
+		t.w[i] = binary.LittleEndian.Uint64(buf[8*i:])
 	}
+	if need > 8*full {
+		var tail [8]byte
+		copy(tail[:], buf[8*full:need])
+		t.w[full] = binary.LittleEndian.Uint64(tail[:])
+	}
+	n := 0
+	for _, v := range t.w[t.hopW : t.hopW+t.r/2] {
+		n += bits.OnesCount64(v)
+	}
+	if t.r&1 != 0 {
+		n += bits.OnesCount32(t.hopAt(t.r - 1))
+	}
+	t.n = n
 	t.endWrite()
 	return nil
-}
-
-func putUint40(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-}
-
-func uint40(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 |
-		uint64(b[3])<<24 | uint64(b[4])<<32
 }

@@ -349,3 +349,21 @@ func BenchmarkEncode(b *testing.B) {
 		tb.EncodeTo(buf)
 	}
 }
+
+func BenchmarkTablePageIn(b *testing.B) {
+	tb := New(1927, 32)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1500; i++ {
+		tb.Put(rng.Uint64(), uint64(i))
+	}
+	buf := make([]byte, EncodedSize(1927))
+	tb.EncodeTo(buf)
+	dst := New(1927, 32)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dst.DecodeFrom(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
